@@ -104,6 +104,23 @@ func (s *AutoSelection) demoteWinner(reason string) (AutoCandidate, bool) {
 	return s.Candidates[best], true
 }
 
+// promoteRunnerUp handles a race winner that missed the band on the full
+// field: it demotes the winner, promotes the best remaining raced candidate,
+// and primes that candidate's sub-client with its raced bound so the retry
+// starts from it. It returns a nil client when no raced candidate remains.
+func (c *Client) promoteRunnerUp(sel *AutoSelection, closestRatio float64) (*Client, error) {
+	cand, ok := sel.demoteWinner(fmt.Sprintf("won the sample race but missed the band on the full field (closest ratio %.4g)", closestRatio))
+	if !ok {
+		return nil, nil
+	}
+	sub, err := c.autoClient(sel.Codec)
+	if err != nil {
+		return nil, err
+	}
+	sub.recordBound(cand.ErrorBound)
+	return sub, nil
+}
+
 // newAutoClient builds the CodecAuto client: no compressor or tuner of its
 // own, a shared evaluation cache for the per-codec sub-clients, eager
 // validation of the options that cannot combine with automatic selection.

@@ -15,14 +15,6 @@ import (
 	"fraz/internal/dataset"
 )
 
-// This file is frazperf's load-generator mode (-loadgen): instead of
-// benchmarking codecs in-process, it drives a running frazd instance with
-// concurrent compress requests over real HTTP and reports service-level
-// throughput and latency percentiles. The field material is the same
-// synthetic SDRBench proxy the benchmark mode uses, cycled across time
-// steps so the server sees a realistic mix of repeated and fresh data (the
-// repeats exercise its shared evaluation cache).
-
 // LoadgenConfig shapes one load run.
 type LoadgenConfig struct {
 	URL       string // base URL of the frazd instance, e.g. http://localhost:8080
@@ -38,7 +30,7 @@ type LoadgenConfig struct {
 // LoadReport is the run's aggregate outcome.
 type LoadReport struct {
 	Requests           int           // completed 2xx requests
-	Errors             int           // transport failures + non-2xx answers
+	Errors             int           // transport failures, truncated bodies, non-2xx answers
 	Rejected           int           // the 429/503 slice of Errors (backpressure, not faults)
 	Wall               time.Duration // wall time for the whole run
 	FieldBytes         int64         // raw bytes uploaded by successful requests
@@ -139,12 +131,16 @@ func runLoadgen(cfg LoadgenConfig, logf func(format string, args ...interface{})
 					mu.Unlock()
 					continue
 				}
-				sealed, _ := io.Copy(io.Discard, resp.Body)
+				// frazd streams the archive after the 200 headers, so a seal
+				// that fails mid-stream shows up only as a short body.
+				sealed, readErr := io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				lat := time.Since(t0)
 
 				mu.Lock()
 				switch {
+				case readErr != nil:
+					rep.Errors++
 				case resp.StatusCode == http.StatusOK:
 					rep.Requests++
 					rep.FieldBytes += int64(len(body))

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -83,6 +85,39 @@ func TestLoadgenCountsBackpressure(t *testing.T) {
 	}
 }
 
+// TestLoadgenCountsTruncatedArchive serves a 200 whose body breaks off
+// before its declared Content-Length. frazd streams the archive after the
+// headers are sent, so this is how a seal that fails mid-stream reaches the
+// client: it must count as a failure, not as a success with a short archive.
+func TestLoadgenCountsTruncatedArchive(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Length", "1024")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(make([]byte, 100))
+	}))
+	defer ts.Close()
+
+	rep, err := runLoadgen(LoadgenConfig{
+		URL:       ts.URL,
+		Clients:   2,
+		Requests:  4,
+		Dataset:   "Hurricane",
+		Field:     "CLOUDf",
+		Scale:     dataset.ScaleTiny,
+		Timesteps: 1,
+	}, discardLogf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests != 0 || rep.Errors != 4 || rep.Rejected != 0 {
+		t.Fatalf("report: %d ok, %d failed (%d backpressure), want 0/4/0", rep.Requests, rep.Errors, rep.Rejected)
+	}
+	if rep.FieldBytes != 0 || rep.SealedBytes != 0 || rep.P50 != 0 || rep.Max != 0 {
+		t.Fatalf("truncated answers leaked into the success counters: %+v", rep)
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	sorted := make([]time.Duration, 10)
 	for i := range sorted {
@@ -95,6 +130,16 @@ func TestPercentile(t *testing.T) {
 	for _, c := range cases {
 		if got := percentile(sorted, c.p); got != c.want {
 			t.Fatalf("percentile(%d) = %d, want %d", c.p, got, c.want)
+		}
+	}
+}
+
+// TestRequiresLoadgen pins the command-line contract: load generation is
+// the program's only mode, so running it without -loadgen is a usage error.
+func TestRequiresLoadgen(t *testing.T) {
+	for _, args := range [][]string{nil, {"-clients", "2"}, {"-quick"}} {
+		if got := realMain(args); got != 2 {
+			t.Errorf("realMain(%q) = %d, want 2", args, got)
 		}
 	}
 }

@@ -1,29 +1,24 @@
-// Command frazperf is the repository's performance harness: it benchmarks
-// seal/open throughput, allocations per operation, and evaluation-cache hit
-// rates for every registered codec at both element widths, monolithic and
-// blocked, on a reproducible generated field — and writes the measurements
-// to a BENCH_<n>.json report.
+// Command frazperf is a load generator for frazd: it drives a running
+// instance with concurrent compress requests over real HTTP and reports
+// service-level throughput and latency percentiles.
 //
-// Against a committed baseline report it acts as a regression gate:
+//	frazperf -loadgen http://localhost:8080 -clients 8 -requests 256
 //
-//	frazperf -out BENCH_1.json              # refresh the baseline
-//	frazperf -quick -baseline BENCH_1.json  # CI: fail on >20% regression
-//
-// Throughput is gated on machine-speed-normalized values (each cell divided
-// by the run's geomean seal throughput), so a slower CI runner does not trip
-// the gate but a single codec regressing does. Allocations per op are gated
-// directly. Quick mode shrinks the per-cell measurement budget, never the
-// field, so quick runs stay comparable to the committed baseline.
+// The uploads are synthetic SDRBench-proxy fields cycled across time steps,
+// so the server sees a realistic mix of repeated and fresh data (the repeats
+// exercise its shared evaluation cache). The repository's seal/open
+// benchmark is sealbench (sealbench/run.sh), not this program.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"fraz/internal/dataset"
 )
+
+const usage = "usage: frazperf -loadgen <url> [-clients n] [-requests n] [-timesteps n] [-target ratio] [-dataset name] [-field name] [-scale tiny|small|medium]"
 
 func main() {
 	os.Exit(realMain(os.Args[1:]))
@@ -32,130 +27,48 @@ func main() {
 func realMain(args []string) int {
 	fs := flag.NewFlagSet("frazperf", flag.ContinueOnError)
 	var (
-		quick     = fs.Bool("quick", false, "reduced measurement budget (same field; for CI smoke)")
-		out       = fs.String("out", "", "write the JSON report to this file (default: stdout)")
-		baseline  = fs.String("baseline", "", "compare against this committed report and gate")
-		gatePct   = fs.Float64("gate", 20, "fail when a metric regresses by more than this percent")
-		blocks    = fs.Int("blocks", 4, "block count for the blocked (v2) rows")
-		benchTime = fs.Duration("benchtime", 0, "per-cell measurement budget (default 500ms, 100ms with -quick)")
-		app       = fs.String("dataset", "Hurricane", "synthetic dataset to benchmark")
+		loadgen   = fs.String("loadgen", "", "base URL of the frazd instance to drive (required)")
+		clients   = fs.Int("clients", 4, "concurrent uploaders")
+		requests  = fs.Int("requests", 64, "total requests across all clients")
+		timesteps = fs.Int("timesteps", 4, "distinct field versions cycled through")
+		ratio     = fs.Float64("target", 10, "requested compression ratio")
+		app       = fs.String("dataset", "Hurricane", "synthetic dataset to upload")
 		field     = fs.String("field", "CLOUDf", "field of the dataset")
 		scale     = fs.String("scale", "small", "field resolution: tiny, small, or medium")
-		codecs    = fs.String("codecs", "", "comma-separated codec names (default: all registered)")
-
-		loadgen   = fs.String("loadgen", "", "drive a running frazd at this base URL instead of benchmarking")
-		clients   = fs.Int("clients", 4, "loadgen: concurrent uploaders")
-		requests  = fs.Int("requests", 64, "loadgen: total requests across all clients")
-		timesteps = fs.Int("timesteps", 4, "loadgen: distinct field versions cycled through")
-		ratio     = fs.Float64("target", 10, "loadgen: requested compression ratio")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
+	if *loadgen == "" {
+		fmt.Fprintln(os.Stderr, usage)
+		return 2
+	}
 	sc, err := parseScale(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "frazperf:", err)
 		return 2
 	}
 
-	if *loadgen != "" {
-		rep, err := runLoadgen(LoadgenConfig{
-			URL:       *loadgen,
-			Clients:   *clients,
-			Requests:  *requests,
-			Dataset:   *app,
-			Field:     *field,
-			Scale:     sc,
-			Target:    *ratio,
-			Timesteps: *timesteps,
-		}, func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "frazperf:", err)
-			return 1
-		}
-		printLoadReport(os.Stdout, rep)
-		if rep.Requests == 0 {
-			fmt.Fprintln(os.Stderr, "frazperf: no request succeeded")
-			return 1
-		}
-		return 0
-	}
-	cfg := Config{
+	rep, err := runLoadgen(LoadgenConfig{
+		URL:       *loadgen,
+		Clients:   *clients,
+		Requests:  *requests,
 		Dataset:   *app,
 		Field:     *field,
 		Scale:     sc,
-		BenchTime: *benchTime,
-		Blocks:    *blocks,
-		Codecs:    splitList(*codecs),
-		Quick:     *quick,
-	}
-
-	rep, err := run(cfg, func(format string, args ...interface{}) {
+		Target:    *ratio,
+		Timesteps: *timesteps,
+	}, func(format string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "frazperf:", err)
 		return 1
 	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "frazperf:", err)
+	printLoadReport(os.Stdout, rep)
+	if rep.Requests == 0 {
+		fmt.Fprintln(os.Stderr, "frazperf: no request succeeded")
 		return 1
-	}
-	enc = append(enc, '\n')
-	if *out == "" {
-		os.Stdout.Write(enc)
-	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "frazperf:", err)
-		return 1
-	}
-
-	if *baseline != "" {
-		raw, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "frazperf:", err)
-			return 1
-		}
-		var base Report
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "frazperf: parse baseline %s: %v\n", *baseline, err)
-			return 1
-		}
-		violations := gate(rep, base, *gatePct)
-		if len(violations) > 0 {
-			// A quick-budget measurement can lose a cell to scheduler noise.
-			// Before declaring a regression, re-measure just the violating
-			// codecs at the full budget and gate once more.
-			retry := violatingCodecs(violations)
-			if len(retry) > 0 {
-				fmt.Fprintf(os.Stderr, "frazperf: %d possible regression(s); re-measuring %v at full budget\n", len(violations), retry)
-				retryCfg := cfg
-				retryCfg.Quick = false
-				retryCfg.BenchTime = 0
-				retryCfg.Codecs = retry
-				rerun, err := run(retryCfg, func(format string, args ...interface{}) {
-					fmt.Fprintf(os.Stderr, format+"\n", args...)
-				})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "frazperf:", err)
-					return 1
-				}
-				mergeResults(&rep, rerun.Results)
-				violations = gate(rep, base, *gatePct)
-			}
-		}
-		if len(violations) > 0 {
-			fmt.Fprintf(os.Stderr, "frazperf: %d regression(s) vs %s:\n", len(violations), *baseline)
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "  "+v)
-			}
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "frazperf: no regressions vs %s (gate %g%%)\n", *baseline, *gatePct)
 	}
 	return 0
 }
@@ -171,21 +84,4 @@ func parseScale(s string) (dataset.Scale, error) {
 	default:
 		return 0, fmt.Errorf("unknown scale %q (want tiny, small, or medium)", s)
 	}
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

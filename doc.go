@@ -167,7 +167,8 @@
 //     archive store, graceful drain, and a Prometheus-style /metrics
 //     surface; see docs/http-api.md for the endpoint reference
 //
-// Executables are under cmd/ (fraz, frazd, frazbench, datagen, frazperf, frazlint) and runnable usage
+// Executables are under cmd/ (fraz, frazd, frazbench, datagen, frazlint,
+// and the frazperf load generator for a running frazd) and runnable usage
 // examples under examples/; see README.md for a quickstart and the .fraz
 // format table. The benchmarks in bench_test.go regenerate the paper's
 // evaluation (one benchmark per table/figure) plus ablations of the design

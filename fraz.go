@@ -252,14 +252,14 @@ func (c *Client) compressBuffer(ctx context.Context, w io.Writer, buf pressio.Bu
 			if !errors.As(cerr, &inf) {
 				return nil, cerr
 			}
-			cand, ok := sel.demoteWinner(fmt.Sprintf("won the sample race but missed the band on the full field (closest ratio %.4g)", inf.ClosestRatio))
-			if !ok {
-				return nil, cerr
-			}
-			if sub, err = c.autoClient(sel.Codec); err != nil {
+			next, err := c.promoteRunnerUp(sel, inf.ClosestRatio)
+			if err != nil {
 				return nil, err
 			}
-			sub.recordBound(cand.ErrorBound)
+			if next == nil {
+				return nil, cerr
+			}
+			sub = next
 		}
 	}
 	if c.set.fixedBound > 0 {
@@ -599,16 +599,15 @@ func TuneT[T Element](ctx context.Context, c *Client, data []T, shape []int) (*T
 			if !res.Feasible {
 				// Same fallback as compressBuffer: the sample race's winner
 				// missed the band on the full field, so promote the runner-up.
-				cand, ok := sel.demoteWinner(fmt.Sprintf("won the sample race but missed the band on the full field (closest ratio %.4g)", infeasibleOf(res).ClosestRatio))
-				if ok {
-					if sub, err = c.autoClient(sel.Codec); err != nil {
-						return nil, err
-					}
-					sub.recordBound(cand.ErrorBound)
+				next, err := c.promoteRunnerUp(sel, infeasibleOf(res).ClosestRatio)
+				if err != nil {
+					return nil, err
+				}
+				if next != nil {
+					sub = next
 					continue
 				}
-			}
-			if res.Feasible {
+			} else {
 				sub.recordBound(res.ErrorBound)
 			}
 			tr := tuneResult(res)

@@ -100,6 +100,6 @@ func Speed(cfg Config) (*report.Table, error) {
 		tab.AddRow(r.codec, r.dtype, r.sealMBps, r.openMBps, round2(r.ratio), speedup)
 	}
 	tab.AddNote("each cell averages %d monolithic seal/open repetitions at bound = 1e-3 x value range", reps)
-	tab.AddNote("szx trades compression ratio for throughput; see cmd/frazperf for the gated full matrix")
+	tab.AddNote("szx trades compression ratio for throughput; sealbench measures seal/open on the public path")
 	return tab, nil
 }
