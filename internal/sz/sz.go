@@ -141,10 +141,12 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 		useRegress := false
 		var coeffs [4]float64
 		if !o.DisableRegression && b.Len() >= 8 {
-			coeffs = fitRegression(data, shape, strides, b)
-			if regressionBeatsLorenzo(data, shape, strides, b, coeffs) {
-				useRegress = true
-			}
+			// Least-squares fit of value ~ c0 + c1*i0 + c2*i1 + c3*i2 over
+			// the block's original data (block-local coordinates; unused
+			// dimensions get zero coefficients), kept only when it beats
+			// Lorenzo on that data.
+			coeffs = solve4(enc.gram(b.Size), enc.regressionRHS(strides, b))
+			useRegress = enc.regressionBeatsLorenzo(strides, b, coeffs)
 		}
 		if useRegress {
 			blockMeta = append(blockMeta, predRegress)
@@ -372,56 +374,6 @@ func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
 	return dec.recon, nil
 }
 
-// forEachBlockPoint visits every point of the block in row-major order,
-// passing the flat offset and the block-local coordinates.
-func forEachBlockPoint(shape grid.Dims, b grid.Block, fn func(off int, local []int)) {
-	strides := shape.Strides()
-	nd := shape.NDims()
-	local := make([]int, nd)
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		off := 0
-		for k := 0; k < nd; k++ {
-			off += (b.Start[k] + local[k]) * strides[k]
-		}
-		fn(off, local)
-		k := nd - 1
-		for k >= 0 {
-			local[k]++
-			if local[k] < b.Size[k] {
-				break
-			}
-			local[k] = 0
-			k--
-		}
-	}
-}
-
-// fitRegression fits value ~ b0 + b1*i0 + b2*i1 + b3*i2 over the block's
-// original data by least squares (normal equations on a small, well-
-// conditioned system). Unused dimensions have zero coefficients.
-func fitRegression[T grid.Float](data []T, shape grid.Dims, strides []int, b grid.Block) [4]float64 {
-	nd := shape.NDims()
-	// Design matrix columns: 1, i0, i1, i2 (block-local coordinates).
-	var ata [4][4]float64
-	var atb [4]float64
-	forEachBlockPoint(shape, b, func(off int, local []int) {
-		var row [4]float64
-		row[0] = 1
-		for k := 0; k < nd && k < 3; k++ {
-			row[k+1] = float64(local[k])
-		}
-		v := float64(data[off])
-		for r := 0; r < 4; r++ {
-			for c := 0; c < 4; c++ {
-				ata[r][c] += row[r] * row[c]
-			}
-			atb[r] += row[r] * v
-		}
-	})
-	return solve4(ata, atb)
-}
-
 // solve4 solves a 4x4 symmetric positive semi-definite system by Gaussian
 // elimination with partial pivoting. Singular directions get a zero
 // coefficient.
@@ -462,80 +414,6 @@ func solve4(a [4][4]float64, b [4]float64) [4]float64 {
 		}
 	}
 	return x
-}
-
-func predictRegression(coeffs [4]float64, local []int) float64 {
-	pred := coeffs[0]
-	for k := 0; k < len(local) && k < 3; k++ {
-		pred += coeffs[k+1] * float64(local[k])
-	}
-	return pred
-}
-
-// regressionBeatsLorenzo estimates, on the original (not reconstructed)
-// data, whether the regression predictor yields a lower absolute residual
-// than the Lorenzo predictor over the block, mirroring SZ 2.x's sampling-
-// based predictor selection.
-func regressionBeatsLorenzo[T grid.Float](data []T, shape grid.Dims, strides []int, b grid.Block, coeffs [4]float64) bool {
-	nd := shape.NDims()
-	var errLorenzo, errRegress float64
-	forEachBlockPoint(shape, b, func(off int, local []int) {
-		v := float64(data[off])
-		errRegress += math.Abs(v - predictRegression(coeffs, local))
-
-		// Lorenzo estimate on original data (approximation used only for
-		// selection, exactly as SZ does).
-		var pred float64
-		switch nd {
-		case 1:
-			if local[0] > 0 || b.Start[0] > 0 {
-				pred = float64(data[off-1])
-			}
-		case 2:
-			y := b.Start[0] + local[0]
-			x := b.Start[1] + local[1]
-			var a2, b2, c2 float64
-			if x > 0 {
-				a2 = float64(data[off-strides[1]])
-			}
-			if y > 0 {
-				b2 = float64(data[off-strides[0]])
-			}
-			if x > 0 && y > 0 {
-				c2 = float64(data[off-strides[0]-strides[1]])
-			}
-			pred = a2 + b2 - c2
-		default:
-			z := b.Start[0] + local[0]
-			y := b.Start[1] + local[1]
-			x := b.Start[2] + local[2]
-			var fx, fy, fz, fxy, fxz, fyz, fxyz float64
-			if x > 0 {
-				fx = float64(data[off-strides[2]])
-			}
-			if y > 0 {
-				fy = float64(data[off-strides[1]])
-			}
-			if z > 0 {
-				fz = float64(data[off-strides[0]])
-			}
-			if x > 0 && y > 0 {
-				fxy = float64(data[off-strides[2]-strides[1]])
-			}
-			if x > 0 && z > 0 {
-				fxz = float64(data[off-strides[2]-strides[0]])
-			}
-			if y > 0 && z > 0 {
-				fyz = float64(data[off-strides[1]-strides[0]])
-			}
-			if x > 0 && y > 0 && z > 0 {
-				fxyz = float64(data[off-strides[2]-strides[1]-strides[0]])
-			}
-			pred = fx + fy + fz - fxy - fxz - fyz + fxyz
-		}
-		errLorenzo += math.Abs(v - pred)
-	})
-	return errRegress < errLorenzo
 }
 
 func writeUint32(w *bytes.Buffer, v uint32) {
