@@ -8,6 +8,16 @@
 // The encoded container is self-describing: it stores the symbol table
 // (symbol values and code lengths), the number of encoded symbols, and the
 // bit stream, so Decode needs no side information.
+//
+// Both directions are table driven. Encode counts symbols in a dense array
+// indexed by symbol over the observed range of the window (-denseHalf,
+// denseHalf), where quantization codes live; symbols outside it, such as the
+// compressors' 1<<30 unpredictable marker, go through a small sorted side
+// list. Each code is then emitted with one WriteBits of its bit-reversed
+// value, which lays the bits out exactly as an MSB-first bit loop would.
+// Decode resolves every code of up to peekBits bits with one lookup on the
+// next peekBits stream bits and falls back to the canonical bit-by-bit walk
+// only for longer codes. The scratch tables come from internal/pool.
 package huffman
 
 import (
@@ -15,9 +25,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"fraz/internal/bitstream"
+	"fraz/internal/pool"
 )
 
 // maxCodeLen is the maximum admissible code length. With canonical coding and
@@ -150,66 +163,169 @@ func assignCanonical(entries []codeEntry) {
 	}
 }
 
+// denseHalf bounds the dense histogram window: symbols s with
+// -denseHalf < s < denseHalf are counted and coded through arrays indexed by
+// s - lo, sized to the observed range. It covers every code of the default
+// 65536-interval quantizer.
+const denseHalf = 1 << 16
+
+// histogram holds the symbol frequencies of one stream.
+type histogram struct {
+	lo       int32    // symbol of dense[0]
+	dense    []uint64 // pooled: dense[s-lo] is the count of symbol s
+	outSyms  []int32  // distinct symbols outside the window, ascending
+	outFreqs []uint64 // outFreqs[i] is the count of outSyms[i]
+}
+
+func newHistogram(data []int32) histogram {
+	lo, hi := int32(denseHalf), int32(-denseHalf)
+	var out []int32
+	for _, s := range data {
+		if s <= -denseHalf || s >= denseHalf {
+			out = append(out, s)
+			continue
+		}
+		lo = min(lo, s)
+		hi = max(hi, s)
+	}
+	var h histogram
+	if lo <= hi {
+		h.lo = lo
+		h.dense = pool.GetUint64(int(hi-lo) + 1)
+		clear(h.dense)
+		n := uint32(len(h.dense))
+		for _, s := range data {
+			if u := uint32(s) - uint32(lo); u < n {
+				h.dense[u]++
+			}
+		}
+	}
+	slices.Sort(out)
+	for i := 0; i < len(out); {
+		j := i + 1
+		for j < len(out) && out[j] == out[i] {
+			j++
+		}
+		h.outSyms = append(h.outSyms, out[i])
+		h.outFreqs = append(h.outFreqs, uint64(j-i))
+		i = j
+	}
+	//frazlint:allow poolcheck -- custody of h.dense moves to the caller; release() puts it
+	return h
+}
+
+// outIndex returns the position of outlier symbol s in outSyms.
+func (h *histogram) outIndex(s int32) int {
+	j, _ := slices.BinarySearch(h.outSyms, s)
+	return j
+}
+
+// count returns the frequency of symbol s.
+func (h *histogram) count(s int32) uint64 {
+	if u := uint32(s) - uint32(h.lo); u < uint32(len(h.dense)) {
+		return h.dense[u]
+	}
+	if j := h.outIndex(s); j < len(h.outSyms) && h.outSyms[j] == s {
+		return h.outFreqs[j]
+	}
+	return 0
+}
+
+// release returns the dense table to the pool.
+func (h *histogram) release() {
+	pool.PutUint64(h.dense)
+	h.dense = nil
+}
+
+// symbols lists the distinct symbols in ascending order with their counts.
+// Outliers below the window precede the dense range, those above follow it.
+func (h *histogram) symbols() ([]int32, []uint64) {
+	n := len(h.outSyms)
+	for _, c := range h.dense {
+		if c > 0 {
+			n++
+		}
+	}
+	syms := make([]int32, 0, n)
+	freqs := make([]uint64, 0, n)
+	split, _ := slices.BinarySearch(h.outSyms, 0)
+	syms = append(syms, h.outSyms[:split]...)
+	freqs = append(freqs, h.outFreqs[:split]...)
+	for i, c := range h.dense {
+		if c > 0 {
+			syms = append(syms, h.lo+int32(i))
+			freqs = append(freqs, c)
+		}
+	}
+	syms = append(syms, h.outSyms[split:]...)
+	freqs = append(freqs, h.outFreqs[split:]...)
+	return syms, freqs
+}
+
+// lenShift places a code's length above its bit-reversed value in a packed
+// code-table entry; maxCodeLen < lenShift keeps the two fields apart.
+const lenShift = 58
+
 // Encode compresses the symbol stream into a self-describing byte container.
 func Encode(data []int32) ([]byte, error) {
-	// Frequency count.
-	freqMap := make(map[int32]uint64)
-	for _, s := range data {
-		freqMap[s]++
-	}
-	symbols := make([]int32, 0, len(freqMap))
-	for s := range freqMap {
-		symbols = append(symbols, s)
-	}
-	sort.Slice(symbols, func(i, j int) bool { return symbols[i] < symbols[j] })
-	freqs := make([]uint64, len(symbols))
-	for i, s := range symbols {
-		freqs[i] = freqMap[s]
-	}
-
+	h := newHistogram(data)
+	defer h.release()
+	symbols, freqs := h.symbols()
 	entries := buildCodeLengths(symbols, freqs)
 	assignCanonical(entries)
+
+	// Packed code tables: bit-reversed code | length<<lenShift, dense by
+	// symbol for the window, parallel to outSyms for the outliers. Only
+	// present symbols are ever looked up, so the pooled table needs no
+	// clearing.
+	table := pool.GetUint64(len(h.dense))
+	defer pool.PutUint64(table)
+	outTable := make([]uint64, len(h.outSyms))
+	payloadBits := 0
 	for _, e := range entries {
 		if e.length > maxCodeLen {
 			return nil, fmt.Errorf("huffman: code length %d exceeds limit %d", e.length, maxCodeLen)
 		}
-	}
-	codeOf := make(map[int32]codeEntry, len(entries))
-	for _, e := range entries {
-		codeOf[e.symbol] = e
+		packed := bits.Reverse64(e.code)>>(64-e.length) | uint64(e.length)<<lenShift
+		if u := uint32(e.symbol) - uint32(h.lo); u < uint32(len(table)) {
+			table[u] = packed
+		} else {
+			outTable[h.outIndex(e.symbol)] = packed
+		}
+		payloadBits += int(e.length) * int(h.count(e.symbol))
 	}
 
 	// Header: numSymbols(u32), numEntries(u32), then per entry symbol(i32) +
-	// length(u8); then the bit stream.
-	header := make([]byte, 0, 8+len(entries)*5)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(data)))
-	header = append(header, tmp[:4]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(entries)))
-	header = append(header, tmp[:4]...)
+	// length(u8); then the bit stream. The header is byte aligned, so it goes
+	// through the same writer as the codes and the container is built in one
+	// buffer of its exact size.
+	w := bitstream.NewWriter(8 + 5*len(entries) + (payloadBits+7)/8)
+	w.WriteBits(uint64(uint32(len(data))), 32)
+	w.WriteBits(uint64(len(entries)), 32)
 	for _, e := range entries {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(e.symbol))
-		header = append(header, tmp[:4]...)
-		header = append(header, e.length)
+		w.WriteBits(uint64(uint32(e.symbol)), 32)
+		w.WriteBits(uint64(e.length), 8)
 	}
-
-	w := bitstream.NewWriter(len(data) / 2)
+	const valueMask = 1<<lenShift - 1
+	n := uint32(len(table))
 	for _, s := range data {
-		e := codeOf[s]
-		// Canonical codes are defined MSB-first; emit bits from the most
-		// significant code bit down so the decoder can walk prefix-first.
-		for b := int(e.length) - 1; b >= 0; b-- {
-			w.WriteBit(uint(e.code>>uint(b)) & 1)
+		var e uint64
+		if u := uint32(s) - uint32(h.lo); u < n {
+			e = table[u]
+		} else {
+			e = outTable[h.outIndex(s)]
 		}
+		w.WriteBits(e&valueMask, uint(e>>lenShift))
 	}
-	payload := w.Bytes()
-	out := make([]byte, 0, len(header)+len(payload))
-	out = append(out, header...)
-	out = append(out, payload...)
-	return out, nil
+	return w.Bytes(), nil
 }
 
-// Decode reverses Encode, returning the original symbol stream.
+// peekBits is the width of Decode's lookup table: codes of up to peekBits
+// bits resolve in one lookup on the next peekBits stream bits.
+const peekBits = 11
+
+// Decode reverses Encode, returning the original symbol stream. The slice
+// comes from internal/pool; callers may hand it back with pool.PutInt32.
 func Decode(buf []byte) ([]int32, error) {
 	if len(buf) < 8 {
 		return nil, ErrCorrupt
@@ -223,10 +339,15 @@ func Decode(buf []byte) ([]int32, error) {
 	if count == 0 {
 		return []int32{}, nil
 	}
-	if numEntries == 0 {
+	// Every code is at least one bit long, so a count beyond the payload's
+	// bit length is corrupt; checking it first keeps a forged count from
+	// sizing the output.
+	payload := buf[pos+numEntries*5:]
+	if numEntries == 0 || count > 8*len(payload) {
 		return nil, ErrCorrupt
 	}
 	entries := make([]codeEntry, numEntries)
+	maxLen := uint8(0)
 	for i := 0; i < numEntries; i++ {
 		sym := int32(binary.LittleEndian.Uint32(buf[pos : pos+4]))
 		length := buf[pos+4]
@@ -235,14 +356,14 @@ func Decode(buf []byte) ([]int32, error) {
 			return nil, ErrCorrupt
 		}
 		entries[i] = codeEntry{symbol: sym, length: length}
+		maxLen = max(maxLen, length)
 	}
 	assignCanonical(entries)
 
 	// Canonical decoding tables indexed by code length: the first code of
 	// each length and the index of the first symbol of that length.
-	firstCode := make([]uint64, maxCodeLen+2)
-	firstIndex := make([]int, maxCodeLen+2)
-	countsByLen := make([]int, maxCodeLen+2)
+	var firstCode [maxCodeLen + 2]uint64
+	var firstIndex, countsByLen [maxCodeLen + 2]int
 	for _, e := range entries {
 		countsByLen[e.length]++
 	}
@@ -256,27 +377,72 @@ func Decode(buf []byte) ([]int32, error) {
 		code <<= 1
 	}
 
-	r := bitstream.NewReader(buf[pos:])
-	out := make([]int32, 0, count)
-	for len(out) < count {
-		var acc uint64
-		var l uint8
-		for {
-			bit, err := r.ReadBit()
-			if err != nil {
+	// Lookup table over the next k stream bits (stream order, first bit in
+	// bit 0): symbol in the low 32 bits, code length above, 0 for a prefix
+	// that matches no code of up to k bits. It encodes exactly what the
+	// canonical walk decides: the shortest length l whose l-bit prefix value
+	// lies in [firstCode[l], firstCode[l]+countsByLen[l]). Filling from the
+	// longest length down lets shorter matches overwrite longer ones.
+	k := uint(min(maxLen, peekBits))
+	lookup := pool.GetUint64(1 << k)
+	defer pool.PutUint64(lookup)
+	clear(lookup)
+	for l := k; l >= 1; l-- {
+		end := min(firstCode[l]+uint64(countsByLen[l]), uint64(1)<<l)
+		for a := firstCode[l]; a < end; a++ {
+			sym := entries[firstIndex[l]+int(a-firstCode[l])].symbol
+			v := uint64(uint32(sym)) | uint64(l)<<32
+			for j := bits.Reverse64(a) >> (64 - l); j < 1<<k; j += 1 << l {
+				lookup[j] = v
+			}
+		}
+	}
+
+	// acc holds the next nacc stream bits, first bit in bit 0; bits above
+	// nacc are zero. A refill tops it up a byte at a time to at least 57
+	// bits, or to the end of the payload.
+	var acc uint64
+	var nacc uint
+	p := 0
+	out := pool.GetInt32(count)
+	mask := uint64(1)<<k - 1
+	for i := range out {
+		if nacc < k {
+			for nacc <= 56 && p < len(payload) {
+				acc |= uint64(payload[p]) << nacc
+				p++
+				nacc += 8
+			}
+		}
+		if e := lookup[acc&mask]; e != 0 {
+			l := uint(e >> 32)
+			if l > nacc {
+				pool.PutInt32(out)
 				return nil, ErrCorrupt
 			}
-			acc = acc<<1 | uint64(bit)
-			l++
-			if l > maxCodeLen {
+			out[i] = int32(uint32(e))
+			acc >>= l
+			nacc -= l
+			continue
+		}
+		// Longer than k bits (or no code at all): the canonical walk.
+		var c uint64
+		for l := 1; ; l++ {
+			if nacc == 0 && p < len(payload) {
+				acc = uint64(payload[p])
+				p++
+				nacc = 8
+			}
+			if nacc == 0 || l > maxCodeLen {
+				pool.PutInt32(out)
 				return nil, ErrCorrupt
 			}
-			if countsByLen[l] > 0 {
-				offset := acc - firstCode[l]
-				if acc >= firstCode[l] && offset < uint64(countsByLen[l]) {
-					out = append(out, entries[firstIndex[l]+int(offset)].symbol)
-					break
-				}
+			c = c<<1 | acc&1
+			acc >>= 1
+			nacc--
+			if n := countsByLen[l]; n > 0 && c >= firstCode[l] && c-firstCode[l] < uint64(n) {
+				out[i] = entries[firstIndex[l]+int(c-firstCode[l])].symbol
+				break
 			}
 		}
 	}
@@ -287,27 +453,12 @@ func Decode(buf []byte) ([]int32, error) {
 // use (excluding the header). It is a convenience for compression-ratio
 // modelling in tests.
 func EstimatedBits(data []int32) int {
-	freqMap := make(map[int32]uint64)
-	for _, s := range data {
-		freqMap[s]++
+	h := newHistogram(data)
+	defer h.release()
+	symbols, freqs := h.symbols()
+	total := 0
+	for _, e := range buildCodeLengths(symbols, freqs) {
+		total += int(e.length) * int(h.count(e.symbol))
 	}
-	symbols := make([]int32, 0, len(freqMap))
-	for s := range freqMap {
-		symbols = append(symbols, s)
-	}
-	sort.Slice(symbols, func(i, j int) bool { return symbols[i] < symbols[j] })
-	freqs := make([]uint64, len(symbols))
-	for i, s := range symbols {
-		freqs[i] = freqMap[s]
-	}
-	entries := buildCodeLengths(symbols, freqs)
-	lenOf := make(map[int32]uint8, len(entries))
-	for _, e := range entries {
-		lenOf[e.symbol] = e.length
-	}
-	bits := 0
-	for _, s := range data {
-		bits += int(lenOf[s])
-	}
-	return bits
+	return total
 }
