@@ -21,15 +21,13 @@
 package huffman
 
 import (
-	"container/heap"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
-	"fraz/internal/bitstream"
 	"fraz/internal/pool"
 )
 
@@ -41,38 +39,6 @@ const maxCodeLen = 58
 // ErrCorrupt is returned when a Huffman container fails to parse.
 var ErrCorrupt = errors.New("huffman: corrupt stream")
 
-type node struct {
-	freq        uint64
-	symbol      int32
-	left, right int // indices into node slice, -1 for leaves
-	// order breaks frequency ties deterministically so that encoding is
-	// reproducible across runs and platforms.
-	order int
-}
-
-type nodeHeap struct {
-	nodes []int
-	pool  []node
-}
-
-func (h nodeHeap) Len() int { return len(h.nodes) }
-func (h nodeHeap) Less(i, j int) bool {
-	a, b := h.pool[h.nodes[i]], h.pool[h.nodes[j]]
-	if a.freq != b.freq {
-		return a.freq < b.freq
-	}
-	return a.order < b.order
-}
-func (h nodeHeap) Swap(i, j int)       { h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i] }
-func (h *nodeHeap) Push(x interface{}) { h.nodes = append(h.nodes, x.(int)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.nodes
-	n := len(old)
-	x := old[n-1]
-	h.nodes = old[:n-1]
-	return x
-}
-
 // codeEntry is a canonical code assignment for one symbol.
 type codeEntry struct {
 	symbol int32
@@ -80,7 +46,64 @@ type codeEntry struct {
 	code   uint64
 }
 
-// buildCodeLengths computes Huffman code lengths for each distinct symbol.
+// mergeHeap is a binary min-heap of tree node indices ordered by frequency,
+// ties broken by index: leaves in symbol order, then internal nodes in
+// creation order. That is a strict total order, so the tree — and the
+// encoding — is reproducible across runs and platforms.
+type mergeHeap struct {
+	freq []uint64 // per node
+	h    []int
+}
+
+func (m *mergeHeap) less(a, b int) bool {
+	return m.freq[a] < m.freq[b] || m.freq[a] == m.freq[b] && a < b
+}
+
+func (m *mergeHeap) down(i int) {
+	h := m.h
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && m.less(h[c+1], h[c]) {
+			c++
+		}
+		if !m.less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func (m *mergeHeap) pop() int {
+	top := m.h[0]
+	last := len(m.h) - 1
+	m.h[0] = m.h[last]
+	m.h = m.h[:last]
+	m.down(0)
+	return top
+}
+
+// merge adds the internal node joining a and b.
+func (m *mergeHeap) merge(a, b int) {
+	id := len(m.freq)
+	m.freq = append(m.freq, m.freq[a]+m.freq[b])
+	m.h = append(m.h, id)
+	h := m.h
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !m.less(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// buildCodeLengths computes Huffman code lengths for each distinct symbol by
+// repeatedly merging the two lightest nodes.
 func buildCodeLengths(symbols []int32, freqs []uint64) []codeEntry {
 	n := len(symbols)
 	if n == 0 {
@@ -89,54 +112,34 @@ func buildCodeLengths(symbols []int32, freqs []uint64) []codeEntry {
 	if n == 1 {
 		return []codeEntry{{symbol: symbols[0], length: 1}}
 	}
-	pool := make([]node, 0, 2*n)
-	h := &nodeHeap{pool: nil}
-	for i := 0; i < n; i++ {
-		pool = append(pool, node{freq: freqs[i], symbol: symbols[i], left: -1, right: -1, order: i})
+	// Nodes 0..n-1 are the leaves; node n+i is the i-th merge, of
+	// children[i].
+	m := mergeHeap{freq: make([]uint64, n, 2*n-1), h: make([]int, n, n+1)}
+	copy(m.freq, freqs)
+	for i := range m.h {
+		m.h[i] = i
 	}
-	h.pool = pool
-	h.nodes = make([]int, n)
-	for i := range h.nodes {
-		h.nodes[i] = i
+	for i := n/2 - 1; i >= 0; i-- {
+		m.down(i)
 	}
-	heap.Init(h)
-	order := n
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int)
-		b := heap.Pop(h).(int)
-		h.pool = append(h.pool, node{
-			freq:  h.pool[a].freq + h.pool[b].freq,
-			left:  a,
-			right: b,
-			order: order,
-		})
-		order++
-		pool = h.pool
-		heap.Push(h, len(h.pool)-1)
+	children := make([][2]int, n-1)
+	for i := range children {
+		a := m.pop()
+		b := m.pop()
+		children[i] = [2]int{a, b}
+		m.merge(a, b)
 	}
-	root := h.nodes[0]
-	pool = h.pool
-
-	// Depth-first traversal to find each leaf's depth.
-	entries := make([]codeEntry, 0, n)
-	type frame struct {
-		idx   int
-		depth uint8
+	// Children are created before their parent, so one pass from the root
+	// (the last node) down assigns every depth.
+	depth := make([]uint8, 2*n-1)
+	for i := n - 2; i >= 0; i-- {
+		d := depth[n+i] + 1
+		depth[children[i][0]] = d
+		depth[children[i][1]] = d
 	}
-	stack := []frame{{root, 0}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := pool[f.idx]
-		if nd.left < 0 && nd.right < 0 {
-			d := f.depth
-			if d == 0 {
-				d = 1
-			}
-			entries = append(entries, codeEntry{symbol: nd.symbol, length: d})
-			continue
-		}
-		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+	entries := make([]codeEntry, n)
+	for i := range entries {
+		entries[i] = codeEntry{symbol: symbols[i], length: depth[i]}
 	}
 	return entries
 }
@@ -145,11 +148,11 @@ func buildCodeLengths(symbols []int32, freqs []uint64) []codeEntry {
 // codes. The same procedure is used by the decoder to reconstruct codes from
 // lengths alone.
 func assignCanonical(entries []codeEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].length != entries[j].length {
-			return entries[i].length < entries[j].length
+	slices.SortFunc(entries, func(a, b codeEntry) int {
+		if a.length != b.length {
+			return int(a.length) - int(b.length)
 		}
-		return entries[i].symbol < entries[j].symbol
+		return cmp.Compare(a.symbol, b.symbol)
 	})
 	var code uint64
 	var prevLen uint8
@@ -296,17 +299,18 @@ func Encode(data []int32) ([]byte, error) {
 	}
 
 	// Header: numSymbols(u32), numEntries(u32), then per entry symbol(i32) +
-	// length(u8); then the bit stream. The header is byte aligned, so it goes
-	// through the same writer as the codes and the container is built in one
-	// buffer of its exact size.
-	w := bitstream.NewWriter(8 + 5*len(entries) + (payloadBits+7)/8)
-	w.WriteBits(uint64(uint32(len(data))), 32)
-	w.WriteBits(uint64(len(entries)), 32)
-	for _, e := range entries {
-		w.WriteBits(uint64(uint32(e.symbol)), 32)
-		w.WriteBits(uint64(e.length), 8)
+	// length(u8); then the bit stream. The container is built in one buffer
+	// of its exact size.
+	hdr := 8 + 5*len(entries)
+	out := make([]byte, hdr+(payloadBits+7)/8)
+	binary.LittleEndian.PutUint32(out[0:], uint32(len(data)))
+	binary.LittleEndian.PutUint32(out[4:], uint32(len(entries)))
+	for i, e := range entries {
+		binary.LittleEndian.PutUint32(out[8+5*i:], uint32(e.symbol))
+		out[8+5*i+4] = e.length
 	}
-	const valueMask = 1<<lenShift - 1
+
+	w := payloadWriter{dst: out[hdr:]}
 	n := uint32(len(table))
 	for _, s := range data {
 		var e uint64
@@ -315,9 +319,53 @@ func Encode(data []int32) ([]byte, error) {
 		} else {
 			e = outTable[h.outIndex(s)]
 		}
-		w.WriteBits(e&valueMask, uint(e>>lenShift))
+		v, l := e&(1<<lenShift-1), uint(e>>lenShift)
+		if l > 32 {
+			// Only streams of millions of symbols grow codes this long.
+			w.put(v&0xFFFFFFFF, 32)
+			v >>= 32
+			l -= 32
+		}
+		w.put(v, l)
 	}
-	return w.Bytes(), nil
+	w.flush()
+	return out, nil
+}
+
+// payloadWriter lays bits out as bitstream.Writer does (first bit in bit 0
+// of each byte) into a buffer sized in advance, through a 64-bit accumulator
+// flushed 32 bits at a time. Fewer than 32 bits are pending before each put,
+// so a value of up to 32 bits always fits.
+type payloadWriter struct {
+	dst []byte
+	p   int
+	acc uint64
+	n   uint
+}
+
+// put appends the l low bits of v, low bit first; l must be at most 32.
+func (w *payloadWriter) put(v uint64, l uint) {
+	w.acc |= v << w.n
+	w.n += l
+	if w.n >= 32 {
+		w.spill()
+	}
+}
+
+// spill writes the low 32 pending bits.
+func (w *payloadWriter) spill() {
+	binary.LittleEndian.PutUint32(w.dst[w.p:], uint32(w.acc))
+	w.p += 4
+	w.acc >>= 32
+	w.n -= 32
+}
+
+// flush writes the pending bits, zero padded, to the rest of the buffer.
+func (w *payloadWriter) flush() {
+	for ; w.p < len(w.dst); w.p++ {
+		w.dst[w.p] = byte(w.acc)
+		w.acc >>= 8
+	}
 }
 
 // peekBits is the width of Decode's lookup table: codes of up to peekBits

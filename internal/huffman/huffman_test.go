@@ -1,9 +1,12 @@
 package huffman
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fraz/internal/bitstream"
 )
 
 func roundTrip(t *testing.T, data []int32) {
@@ -203,5 +206,61 @@ func BenchmarkDecodeSkewed(b *testing.B) {
 		if _, err := Decode(enc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPayloadWriterMatchesBitstream checks Encode's payload writer against
+// bitstream.Writer, the layout it reproduces, over random widths up to
+// maxCodeLen with values longer than 32 bits split as Encode splits them.
+func TestPayloadWriterMatchesBitstream(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type put struct {
+		v uint64
+		l uint
+	}
+	puts := make([]put, 5000)
+	total := 0
+	for i := range puts {
+		l := uint(1 + rng.Intn(maxCodeLen))
+		if i%4 != 0 {
+			l = uint(1 + rng.Intn(12))
+		}
+		puts[i] = put{rng.Uint64() & (1<<l - 1), l}
+		total += int(l)
+	}
+	ref := bitstream.NewWriter(0)
+	w := payloadWriter{dst: make([]byte, (total+7)/8)}
+	for _, p := range puts {
+		ref.WriteBits(p.v, p.l)
+		v, l := p.v, p.l
+		if l > 32 {
+			w.put(v&0xFFFFFFFF, 32)
+			v >>= 32
+			l -= 32
+		}
+		w.put(v, l)
+	}
+	w.flush()
+	if !bytes.Equal(w.dst, ref.Bytes()) {
+		t.Fatal("payload writer layout differs from bitstream.Writer")
+	}
+}
+
+// TestRoundTripLongCodes drives Decode's canonical walk: Fibonacci
+// frequencies give codes far longer than the lookup table's peekBits.
+func TestRoundTripLongCodes(t *testing.T) {
+	var data []int32
+	a, b := 1, 1
+	for s := int32(0); s < 22; s++ {
+		for i := 0; i < a; i++ {
+			data = append(data, s*7-40)
+		}
+		a, b = b, a+b
+	}
+	rand.New(rand.NewSource(9)).Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
+	roundTrip(t, data)
+	bitsPerSym := float64(EstimatedBits(data)) / float64(len(data))
+	if bitsPerSym <= 1 {
+		t.Fatalf("expected a deep tree, got %.2f bits/symbol", bitsPerSym)
 	}
 }
