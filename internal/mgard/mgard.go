@@ -324,114 +324,105 @@ func coefficientBound(opts Options, levels int) float64 {
 // forwardDecompose converts grid values into hierarchical-surplus
 // coefficients in place, processing levels from fine to coarse.
 func forwardDecompose(work []float64, shape grid.Dims, levels int) {
+	var sw sweeper
 	for l := 0; l < levels; l++ {
-		s := 1 << l
-		forEachDetailNode(shape, s, func(off int, pred float64) {
-			work[off] -= pred
-		}, work)
+		sw.sweep(work, shape, 1<<l, false)
 	}
 }
 
 // inverseReconstruct converts hierarchical-surplus coefficients back into
 // grid values in place, processing levels from coarse to fine.
 func inverseReconstruct(work []float64, shape grid.Dims, levels int) {
+	var sw sweeper
 	for l := levels - 1; l >= 0; l-- {
-		s := 1 << l
-		forEachDetailNode(shape, s, func(off int, pred float64) {
-			work[off] += pred
-		}, work)
+		sw.sweep(work, shape, 1<<l, true)
 	}
 }
 
-// forEachDetailNode visits every detail node of the level with stride s: a
-// grid node whose coordinates are all multiples of s with at least one being
-// an odd multiple. For each such node it computes the multilinear
-// interpolation of the surrounding coarse (stride 2s) nodes and invokes fn.
-//
-// The interpolation reads from work, so the caller must arrange the level
-// processing order such that coarse nodes hold the correct values (original
-// values during decomposition, reconstructed values during reconstruction).
-func forEachDetailNode(shape grid.Dims, s int, fn func(off int, pred float64), work []float64) {
-	nd := shape.NDims()
-	strides := shape.Strides()
-	coords := make([]int, nd)
-	var visit func(dim int)
-	visit = func(dim int) {
-		if dim == nd {
-			// Check that at least one coordinate is an odd multiple of s.
-			odd := false
-			for k := 0; k < nd; k++ {
-				if (coords[k]/s)%2 == 1 {
-					odd = true
-					break
+// axisNode is one lattice coordinate c of an axis at stride s, with the
+// coarse (stride 2s) neighbours the interpolation reads along that axis.
+// Where c is an odd multiple of s the neighbours are c-s and c+s with weight
+// 1/2 each, or c-s alone with weight 1 when c+s falls outside the grid; an
+// even multiple contributes its own coordinate with weight 1.
+type axisNode struct {
+	offs [2]int // flat offsets (coordinate × axis stride) of the neighbours
+	n    int    // number of neighbours, 1 or 2
+	w    float64
+	odd  bool
+}
+
+// sweeper holds the per-axis node lists of one detail sweep, reused across
+// levels.
+type sweeper struct {
+	axes [3][]axisNode
+}
+
+// sweep runs one level of the decomposition at stride s. Every detail node —
+// all coordinates multiples of s, at least one an odd multiple — has the
+// multilinear interpolation of its coarse neighbours subtracted (forward) or
+// added back (inverse). The neighbours are never detail nodes of the same
+// level, so the order of the visit does not matter; it is row-major. The
+// interpolation sums its terms w·work[...] from zero in the order of the
+// slowest axis's neighbours, then the middle, then the fastest, and w is the
+// product of the axes' weights (exact: they are 1 or 1/2). A 2-D grid is
+// swept as a 3-D one whose slowest axis has extent 1.
+func (sw *sweeper) sweep(work []float64, shape grid.Dims, s int, inverse bool) {
+	extents := [3]int{1, 0, 0}
+	strides := [3]int{0, 0, 1}
+	copy(extents[3-len(shape):], shape)
+	st := shape.Strides()
+	copy(strides[3-len(shape):], st)
+	for k := range sw.axes {
+		sw.axes[k] = axisNodes(sw.axes[k][:0], extents[k], strides[k], s)
+	}
+	zs, ys, xs := sw.axes[0], sw.axes[1], sw.axes[2]
+	for iz, az := range zs {
+		for iy, ay := range ys {
+			rowOff := iz*s*strides[0] + iy*s*strides[1]
+			wzy := az.w * ay.w
+			// In a row whose slower coordinates are both even, only the odd
+			// x coordinates are detail nodes.
+			start, step := 0, 1
+			if !az.odd && !ay.odd {
+				start, step = 1, 2
+			}
+			for ix := start; ix < len(xs); ix += step {
+				ax := &xs[ix]
+				w := wzy * ax.w
+				var sum float64
+				for a := 0; a < az.n; a++ {
+					for b := 0; b < ay.n; b++ {
+						base := az.offs[a] + ay.offs[b]
+						for c := 0; c < ax.n; c++ {
+							sum += w * work[base+ax.offs[c]]
+						}
+					}
 				}
-			}
-			if !odd {
-				return
-			}
-			off := 0
-			for k := 0; k < nd; k++ {
-				off += coords[k] * strides[k]
-			}
-			fn(off, interpolate(work, shape, strides, coords, s))
-			return
-		}
-		for c := 0; c < shape[dim]; c += s {
-			coords[dim] = c
-			visit(dim + 1)
-		}
-	}
-	visit(0)
-}
-
-// interpolate computes the multilinear interpolation of the coarse-grid
-// neighbours of the detail node at coords. Along each dimension where the
-// coordinate is an odd multiple of s, the neighbours are at coord-s and
-// coord+s with weight 1/2 each; if coord+s falls outside the grid, the
-// left neighbour gets full weight. Dimensions whose coordinate is already a
-// multiple of 2s contribute the node's own coordinate.
-func interpolate(work []float64, shape grid.Dims, strides []int, coords []int, s int) float64 {
-	nd := len(coords)
-	type axisChoice struct {
-		offs    [2]int
-		weights [2]float64
-		n       int
-	}
-	var axes [3]axisChoice
-	for k := 0; k < nd; k++ {
-		c := coords[k]
-		if (c/s)%2 == 0 {
-			axes[k] = axisChoice{offs: [2]int{c, 0}, weights: [2]float64{1, 0}, n: 1}
-			continue
-		}
-		lo := c - s
-		hi := c + s
-		if hi >= shape[k] {
-			axes[k] = axisChoice{offs: [2]int{lo, 0}, weights: [2]float64{1, 0}, n: 1}
-			continue
-		}
-		axes[k] = axisChoice{offs: [2]int{lo, hi}, weights: [2]float64{0.5, 0.5}, n: 2}
-	}
-	var sum float64
-	switch nd {
-	case 2:
-		for a := 0; a < axes[0].n; a++ {
-			for b := 0; b < axes[1].n; b++ {
-				w := axes[0].weights[a] * axes[1].weights[b]
-				sum += w * work[axes[0].offs[a]*strides[0]+axes[1].offs[b]*strides[1]]
-			}
-		}
-	default:
-		for a := 0; a < axes[0].n; a++ {
-			for b := 0; b < axes[1].n; b++ {
-				for c := 0; c < axes[2].n; c++ {
-					w := axes[0].weights[a] * axes[1].weights[b] * axes[2].weights[c]
-					sum += w * work[axes[0].offs[a]*strides[0]+axes[1].offs[b]*strides[1]+axes[2].offs[c]*strides[2]]
+				off := rowOff + ix*s
+				if inverse {
+					work[off] += sum
+				} else {
+					work[off] -= sum
 				}
 			}
 		}
 	}
-	return sum
+}
+
+// axisNodes appends to dst the nodes of an axis of the given extent and flat
+// stride at lattice stride s.
+func axisNodes(dst []axisNode, extent, stride, s int) []axisNode {
+	for c := 0; c < extent; c += s {
+		switch {
+		case (c/s)%2 == 0:
+			dst = append(dst, axisNode{offs: [2]int{c * stride}, n: 1, w: 1})
+		case c+s >= extent:
+			dst = append(dst, axisNode{offs: [2]int{(c - s) * stride}, n: 1, w: 1, odd: true})
+		default:
+			dst = append(dst, axisNode{offs: [2]int{(c - s) * stride, (c + s) * stride}, n: 2, w: 0.5, odd: true})
+		}
+	}
+	return dst
 }
 
 func writeUint32(w *bytes.Buffer, v uint32) {
