@@ -2,7 +2,9 @@ package huffman
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -263,4 +265,31 @@ func TestRoundTripLongCodes(t *testing.T) {
 	if bitsPerSym <= 1 {
 		t.Fatalf("expected a deep tree, got %.2f bits/symbol", bitsPerSym)
 	}
+}
+
+// TestDecodeForgedCountBoundedAlloc feeds a 15-byte stream that claims 200
+// million symbols. Every code is at least one bit, so the count is
+// impossible; Decode must say so before sizing its output by it.
+func TestDecodeForgedCountBoundedAlloc(t *testing.T) {
+	forged := forgedCountStream()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(forged)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Decode accepted a count beyond the payload's bit length")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("Decode allocated %d bytes on a %d-byte stream", n, len(forged))
+	}
+}
+
+// forgedCountStream is a valid one-entry table with a 2-byte payload and a
+// symbol count of 200 million.
+func forgedCountStream() []byte {
+	buf := make([]byte, 15)
+	binary.LittleEndian.PutUint32(buf[0:], 200_000_000)
+	binary.LittleEndian.PutUint32(buf[4:], 1)
+	buf[12] = 1 // symbol 0, code length 1
+	return buf
 }

@@ -452,8 +452,12 @@ func writeLiterals[T grid.Float](w *bytes.Buffer, literals []T) {
 	}
 }
 
-// readLiterals is the inverse of writeLiterals.
+// readLiterals is the inverse of writeLiterals. A count the remaining bytes
+// cannot hold is rejected before the slice is sized by it.
 func readLiterals[T grid.Float](r *bytes.Reader, n int) ([]T, error) {
+	if n > r.Len()/grid.ElemSize[T]() {
+		return nil, fmt.Errorf("%w: %d literals claimed, %d bytes remain", ErrCorrupt, n, r.Len())
+	}
 	out := make([]T, n)
 	if grid.ElemSize[T]() == 4 {
 		for i := range out {

@@ -1,12 +1,15 @@
 package mgard
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"fraz/internal/grid"
+	"fraz/internal/huffman"
 	"fraz/internal/metrics"
 )
 
@@ -286,4 +289,42 @@ func BenchmarkCompressInfinity3D(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestDecompressForgedLiteralCountBoundedAlloc builds an uncompressed-body
+// stream whose literal count is 2^31-1 with no literal bytes behind it;
+// Decompress must fail before sizing a buffer by the count.
+func TestDecompressForgedLiteralCountBoundedAlloc(t *testing.T) {
+	forged := forgedLiteralStream(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decompress[float32](forged, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Decompress accepted a literal count beyond the stream")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("Decompress allocated %d bytes on a %d-byte stream", n, len(forged))
+	}
+}
+
+// forgedLiteralStream is a 4x4 float32 stream, body stored without the
+// dictionary stage, claiming 2^31-1 literals.
+func forgedLiteralStream(t testing.TB) []byte {
+	huff, err := huffman.Encode(make([]int32, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	writeUint32(&buf, magic32)
+	buf.WriteByte(byte(NormInfinity))
+	buf.WriteByte(0) // no dictionary stage
+	buf.WriteByte(2)
+	writeUint64(&buf, math.Float64bits(0.01))
+	writeUint32(&buf, 4)
+	writeUint32(&buf, 4)
+	writeUint32(&buf, uint32(len(huff)))
+	buf.Write(huff)
+	writeUint32(&buf, 1<<31-1)
+	return buf.Bytes()
 }

@@ -1,8 +1,10 @@
 package sz
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -303,5 +305,31 @@ func BenchmarkDecompress3D(b *testing.B) {
 		if _, err := Decompress[float32](comp, shape); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecompressForgedLiteralCountBoundedAlloc patches a valid stream's
+// literal count to 2^31-1. The remaining bytes cannot hold that many
+// values, so Decompress must fail before sizing a buffer by the count.
+func TestDecompressForgedLiteralCountBoundedAlloc(t *testing.T) {
+	data, shape := synthetic3D(4, 4, 4, 1)
+	comp, err := Compress(data, shape, Options{ErrorBound: 1e-2, DisableDictionary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := 22 + 4*shape.NDims()
+	for chunk := 0; chunk < 2; chunk++ { // block metadata, then Huffman bytes
+		pos += 4 + int(binary.LittleEndian.Uint32(comp[pos:]))
+	}
+	binary.LittleEndian.PutUint32(comp[pos:], 1<<31-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Decompress[float32](comp, shape)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Decompress accepted a literal count beyond the stream")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("Decompress allocated %d bytes on a %d-byte stream", n, len(comp))
 	}
 }
