@@ -312,6 +312,22 @@ func BenchmarkDecompress3D(b *testing.B) {
 // literal count to 2^31-1. The remaining bytes cannot hold that many
 // values, so Decompress must fail before sizing a buffer by the count.
 func TestDecompressForgedLiteralCountBoundedAlloc(t *testing.T) {
+	comp := forgedLiteralStream(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decompress[float32](comp, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Decompress accepted a literal count beyond the stream")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("Decompress allocated %d bytes on a %d-byte stream", n, len(comp))
+	}
+}
+
+// forgedLiteralStream is a valid 4x4x4 float32 stream, stored without the
+// dictionary stage, whose literal count is patched to 2^31-1.
+func forgedLiteralStream(t testing.TB) []byte {
 	data, shape := synthetic3D(4, 4, 4, 1)
 	comp, err := Compress(data, shape, Options{ErrorBound: 1e-2, DisableDictionary: true})
 	if err != nil {
@@ -322,14 +338,5 @@ func TestDecompressForgedLiteralCountBoundedAlloc(t *testing.T) {
 		pos += 4 + int(binary.LittleEndian.Uint32(comp[pos:]))
 	}
 	binary.LittleEndian.PutUint32(comp[pos:], 1<<31-1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = Decompress[float32](comp, shape)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("Decompress accepted a literal count beyond the stream")
-	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-		t.Fatalf("Decompress allocated %d bytes on a %d-byte stream", n, len(comp))
-	}
+	return comp
 }
