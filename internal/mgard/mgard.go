@@ -30,6 +30,7 @@ import (
 
 	"fraz/internal/grid"
 	"fraz/internal/huffman"
+	"fraz/internal/pool"
 	"fraz/internal/quantize"
 )
 
@@ -115,8 +116,11 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	levels := numLevels(shape)
 	step := coefficientBound(opts, levels)
 
-	// Forward multilevel decomposition on a float64 working copy.
-	work := make([]float64, len(data))
+	// Forward multilevel decomposition on a float64 working copy. The copy
+	// and the code stream are scratch: both are fully written here and
+	// recycled on return.
+	work := pool.GetFloat64(len(data))
+	defer pool.PutFloat64(work)
 	for i, v := range data {
 		work[i] = float64(v)
 	}
@@ -127,7 +131,8 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
-	codes := make([]int32, len(work))
+	codes := pool.GetInt32(len(work))
+	defer pool.PutInt32(codes)
 	literals := make([]T, 0)
 	for i, c := range work {
 		code, recon, ok := q.Quantize(c, 0)
@@ -255,7 +260,8 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	work := make([]float64, len(codes))
+	work := pool.GetFloat64(len(codes))
+	defer pool.PutFloat64(work)
 	litPos := 0
 	for i, code := range codes {
 		if code == unpredictable {
@@ -268,6 +274,7 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 		}
 		work[i] = q.Dequantize(0, code)
 	}
+	pool.PutInt32(codes)
 
 	levels := numLevels(hdrShape)
 	inverseReconstruct(work, hdrShape, levels)

@@ -328,3 +328,19 @@ func forgedLiteralStream(t testing.TB) []byte {
 	writeUint32(&buf, 1<<31-1)
 	return buf.Bytes()
 }
+
+func BenchmarkDecompressInfinity3D(b *testing.B) {
+	data, shape := field3D(64, 64, 64, 1)
+	comp, err := Compress(data, shape, Options{Norm: NormInfinity, Bound: 1e-2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data) * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decompress[float32](comp, shape); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
