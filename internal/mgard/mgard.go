@@ -158,14 +158,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 
 	body := payload.Bytes()
 	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		return nil, fmt.Errorf("mgard: dictionary stage: %w", err)
-	}
-	if _, err := fw.Write(body); err != nil {
-		return nil, fmt.Errorf("mgard: dictionary stage: %w", err)
-	}
-	if err := fw.Close(); err != nil {
+	if err := pool.DeflateFast(&comp, body); err != nil {
 		return nil, fmt.Errorf("mgard: dictionary stage: %w", err)
 	}
 	dictFlag := byte(0)

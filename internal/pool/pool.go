@@ -15,6 +15,8 @@
 package pool
 
 import (
+	"bytes"
+	"compress/flate"
 	"math/bits"
 	"sync"
 )
@@ -122,3 +124,26 @@ func GetInt64(n int) []int64 { return i64Pool.get(n) }
 
 // PutInt64 parks an int64 slice for reuse.
 func PutInt64(s []int64) { i64Pool.put(s) }
+
+// fastDeflaters recycles flate.BestSpeed writers. A fresh writer allocates
+// and zeroes several hundred KiB of match state, and the sz and mgard
+// dictionary stages run once per compressor evaluation of a tuner search.
+var fastDeflaters = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(nil, flate.BestSpeed)
+	if err != nil {
+		panic(err) // the level constant is valid; NewWriter cannot fail on it
+	}
+	return fw
+}}
+
+// DeflateFast appends the DEFLATE encoding of src at flate.BestSpeed to dst.
+// The bytes are those a fresh flate.NewWriter would produce.
+func DeflateFast(dst *bytes.Buffer, src []byte) error {
+	fw := fastDeflaters.Get().(*flate.Writer)
+	defer fastDeflaters.Put(fw)
+	fw.Reset(dst)
+	if _, err := fw.Write(src); err != nil {
+		return err
+	}
+	return fw.Close()
+}

@@ -181,14 +181,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	dictFlag := byte(0)
 	if !o.DisableDictionary {
 		var comp bytes.Buffer
-		fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-		if err != nil {
-			return nil, fmt.Errorf("sz: dictionary stage: %w", err)
-		}
-		if _, err := fw.Write(body); err != nil {
-			return nil, fmt.Errorf("sz: dictionary stage: %w", err)
-		}
-		if err := fw.Close(); err != nil {
+		if err := pool.DeflateFast(&comp, body); err != nil {
 			return nil, fmt.Errorf("sz: dictionary stage: %w", err)
 		}
 		if comp.Len() < len(body) {
