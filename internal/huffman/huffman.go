@@ -9,15 +9,22 @@
 // (symbol values and code lengths), the number of encoded symbols, and the
 // bit stream, so Decode needs no side information.
 //
-// Both directions are table driven. Encode counts symbols in a dense array
-// indexed by symbol over the observed range of the window (-denseHalf,
-// denseHalf), where quantization codes live; symbols outside it, such as the
-// compressors' 1<<30 unpredictable marker, go through a small sorted side
-// list. Each code is then emitted with one WriteBits of its bit-reversed
-// value, which lays the bits out exactly as an MSB-first bit loop would.
-// Decode resolves every code of up to peekBits bits with one lookup on the
-// next peekBits stream bits and falls back to the canonical bit-by-bit walk
-// only for longer codes. The scratch tables come from internal/pool.
+// Codes are canonical and MSB-first: the bit stream (laid out as
+// bitstream.Writer lays it, first bit in bit 0 of each byte) carries each
+// code's most significant bit first.
+//
+// Both directions are table driven, with no map on either path. Encode
+// counts symbols in a dense array indexed by symbol over the observed range
+// of the window (-denseHalf, denseHalf), where quantization codes live;
+// symbols outside it, such as the compressors' 1<<30 unpredictable marker,
+// go through a small sorted side list. The code table is dense the same
+// way, and each code is emitted as one write of its bit-reversed value into
+// a buffer of the container's exact size, which lays the bits out exactly
+// as an MSB-first bit loop would. Decode resolves every code of up to
+// peekBits bits with one lookup on the next peekBits stream bits and falls
+// back to the canonical bit-by-bit walk only for longer codes. The scratch
+// tables come from internal/pool. The emitted bytes are pinned by SHA-256
+// in golden_test.go.
 package huffman
 
 import (

@@ -10,6 +10,12 @@
 // so that the requested norm bound is respected after reconstruction, and
 // entropy coded with Huffman + DEFLATE.
 //
+// The decomposition sweeps one level at a time with nested loops over the
+// stride-s lattice: each axis's coarse neighbours, offsets and weights are
+// computed once per coordinate and level, not per node, and the
+// interpolation sums its terms in a fixed order, so streams and
+// reconstructions are bit-reproducible (golden_test.go pins them).
+//
 // Two error-control modes are provided, mirroring MGARD's norms discussed in
 // the paper (§II-A3): NormInfinity (equivalent to an absolute error bound)
 // and NormL2 (controls the mean squared error).

@@ -25,8 +25,9 @@ import (
 // v-pred, round(diff/2e), and pred+2e*code are identical for both zero signs.
 //
 // The same contract covers the regression fit and the predictor selection
-// (gram, regressionRHS, regressionBeatsLorenzo), which replaced a per-point
-// closure walk over block-local coordinates:
+// (gram, regressionRHS, regressionBeatsLorenzo), which are per-rank row
+// kernels too, against a row-major walk over block-local coordinates that
+// adds A^T A, A^T b and both residuals point by point:
 //   - The A^T A half of the normal equations depends only on the block's
 //     size, so it is accumulated once per distinct size, in the walk's
 //     row-major point order, and reused for every block of that size.
