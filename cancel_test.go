@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -38,9 +39,10 @@ func TestCompressPreCancelledContext(t *testing.T) {
 
 // TestCompressCancelledMidTune cancels while the search is running and
 // requires Compress to return the context error promptly — well before a
-// full tune of the field would complete.
+// full tune of the field would complete. The field is large enough that the
+// whole tune takes far longer than the 2ms head start.
 func TestCompressCancelledMidTune(t *testing.T) {
-	data, shape := testField()
+	data, shape := cancelField()
 	c, err := fraz.New("sz:abs", fraz.Ratio(10), fraz.Tolerance(0.25), fraz.Regions(4), fraz.Seed(3), fraz.ReuseBounds(false))
 	if err != nil {
 		t.Fatal(err)
@@ -66,6 +68,22 @@ func TestCompressCancelledMidTune(t *testing.T) {
 	if elapsed > 10*time.Second {
 		t.Errorf("cancelled Compress took %v to return", elapsed)
 	}
+}
+
+// cancelField is testField's pattern on a 64x64x64 grid.
+func cancelField() ([]float32, []int) {
+	shape := []int{64, 64, 64}
+	data := make([]float32, shape[0]*shape[1]*shape[2])
+	i := 0
+	for z := 0; z < shape[0]; z++ {
+		for y := 0; y < shape[1]; y++ {
+			for x := 0; x < shape[2]; x++ {
+				data[i] = float32(20*math.Sin(float64(z)/4)*math.Cos(float64(y)/5) + float64(x)/10)
+				i++
+			}
+		}
+	}
+	return data, shape
 }
 
 // TestTunePreCancelledContext mirrors the Compress contract for the

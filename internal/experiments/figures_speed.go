@@ -45,6 +45,10 @@ func Speed(cfg Config) (*report.Table, error) {
 	if cfg.Quick {
 		reps = 2
 	}
+	// Each codec also repeats until its seals add up to minSeal: at tiny
+	// scale an szx seal lasts tens of microseconds, and timing two of them
+	// lets one scheduler hiccup move the speedup column several-fold.
+	const minSeal = 20 * time.Millisecond
 
 	tab := report.NewTable("Codec tier throughput at the 1e-3 relative bound (Hurricane/CLOUDf)",
 		"codec", "dtype", "seal_MBps", "open_MBps", "ratio", "seal_speedup_vs_sz")
@@ -66,7 +70,8 @@ func Speed(cfg Config) (*report.Table, error) {
 
 			var sealT, openT time.Duration
 			var ratio float64
-			for i := 0; i < reps; i++ {
+			n := 0
+			for ; n < reps || sealT < minSeal; n++ {
 				s, o, r, err := timeSealOpen(1, func() (container.Container, error) {
 					return pressio.Seal(comp, dc.buf, bound)
 				})
@@ -79,8 +84,8 @@ func Speed(cfg Config) (*report.Table, error) {
 			}
 			rows = append(rows, row{
 				codec: name, dtype: dc.name,
-				sealMBps: mbps(mb*float64(reps), sealT),
-				openMBps: mbps(mb*float64(reps), openT),
+				sealMBps: mbps(mb*float64(n), sealT),
+				openMBps: mbps(mb*float64(n), openT),
 				ratio:    ratio,
 			})
 		}

@@ -18,8 +18,9 @@ import (
 // needs special handling, peeled off before the guard-free loop body.
 //
 // Bit-compatibility contract: every kernel evaluates the exact floating-point
-// expressions of the original lorenzoPredictor/predictRegression walk, with
-// identical association order, so streams and reconstructions are unchanged.
+// expressions of a per-point walk that computes the Lorenzo and regression
+// predictions from scratch, with identical association order, so streams
+// and reconstructions are unchanged (golden_test.go pins them).
 // The only deviation is dropping "+ 0.0" terms for absent neighbours, which
 // can flip a prediction between -0.0 and +0.0 — invisible to the quantizer:
 // v-pred, round(diff/2e), and pred+2e*code are identical for both zero signs.
